@@ -19,7 +19,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro.dse.cache import CACHE_ENV, aggregate_stats, gc_cache, scan_entries
+from repro.dse.cache import (
+    CACHE_ENV, aggregate_stats, gc_cache, retired_dirs, scan_entries,
+)
 from repro.resilience.errors import ReproError
 
 EXIT_OK = 0
@@ -85,6 +87,8 @@ def _cmd_stat(args: argparse.Namespace) -> int:
               f"{info['bytes'] / 1024:.1f} KiB")
     print(f"  total     {sum(i['entries'] for i in per_kind.values()):>6} "
           f"entries  {total_bytes / 1024:.1f} KiB  ({invalid} invalid)")
+    for kind_dir, files in sorted(retired_dirs(root).items()):
+        print(f"  retired   {files:>6} files    {kind_dir} (gc removes)")
     stats = aggregate_stats(root)
     print("session counters (all processes):")
     for key in sorted(stats):
@@ -114,7 +118,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     evicted = gc_cache(root)
-    print(f"evicted {evicted} invalid entries from {root}")
+    print(f"evicted {evicted} invalid or retired entries from {root}")
     return EXIT_OK
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import threading
 import uuid
@@ -51,6 +52,7 @@ __all__ = [
     "CacheEntry",
     "aggregate_stats",
     "gc_cache",
+    "retired_dirs",
     "scan_entries",
 ]
 
@@ -61,7 +63,11 @@ __all__ = [
 CACHE_ENV = "REPRO_DSE_CACHE"
 
 #: Artifact kinds the store recognises.
-KINDS = ("result", "schedule", "plan")
+KINDS = ("result", "schedule")
+
+#: Kinds earlier formats wrote and nothing reads (``"plan"``: one file
+#: per priced window); ``stat`` reports them and ``gc`` removes them.
+RETIRED_KINDS = ("plan",)
 
 _STAT_KEYS = ("hits", "misses", "writes", "corrupt", "evictions")
 
@@ -374,8 +380,7 @@ def _atomic_write_json(path: str, document: Any) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fp:
             # dumps() takes the C-accelerated encoder; dump() streams
-            # through the pure-Python one — measurably slower for the
-            # thousands of plan-skeleton writes a cold search makes.
+            # through the pure-Python one.
             fp.write(json.dumps(document, sort_keys=True))
         os.replace(tmp, path)
     except OSError:
@@ -431,12 +436,21 @@ def scan_entries(root: str) -> Iterator[CacheEntry]:
                 )
 
 
-def gc_cache(root: str, cache: Optional[ArtifactCache] = None) -> int:
-    """Remove every invalid (corrupt/stale/mismatched) entry.
+def retired_dirs(root: str) -> Dict[str, int]:
+    """File counts of the retired-kind directories under ``root``."""
+    found: Dict[str, int] = {}
+    for kind in RETIRED_KINDS:
+        kind_dir = os.path.join(root, kind)
+        if os.path.isdir(kind_dir):
+            found[kind_dir] = sum(len(f) for _, _, f in os.walk(kind_dir))
+    return found
 
-    Returns the eviction count; counted as ``dse.cache.evictions`` on
-    ``cache`` (the shared :data:`CACHE` by default).
-    """
+
+def gc_cache(root: str, cache: Optional[ArtifactCache] = None) -> int:
+    """Remove every invalid (corrupt/stale/mismatched) entry and every
+    retired-kind directory; returns the eviction count (one per file),
+    counted as ``dse.cache.evictions`` on ``cache`` (the shared
+    :data:`CACHE` by default)."""
     cache = cache if cache is not None else CACHE
     evicted = 0
     for entry in scan_entries(root):
@@ -447,6 +461,9 @@ def gc_cache(root: str, cache: Optional[ArtifactCache] = None) -> int:
         except OSError:
             continue
         evicted += 1
+    for kind_dir, files in retired_dirs(root).items():
+        shutil.rmtree(kind_dir, ignore_errors=True)
+        evicted += files
     if evicted:
         cache._bump("evictions", evicted)
         cache.flush_stats()

@@ -39,7 +39,7 @@ __all__ = [
 #: Salt baked into every fingerprint and on-disk envelope.  Bump on any
 #: change to payload composition or serialized artifact schema: old
 #: entries then read as stale and degrade to misses (never mis-hits).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Memoization slot stashed on graph objects (builds are memoized and
 #: graphs immutable once built, so the structural hash is stable).

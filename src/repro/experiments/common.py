@@ -240,20 +240,6 @@ def _build_workload(
     return lower_workload(workload_name, params, options)
 
 
-def _cluster_hw(hw: HardwareConfig, clusters: int) -> HardwareConfig:
-    """Hardware view for data-parallel CROPHE-p.
-
-    The clusters process independent inputs interleaved on the chip; the
-    per-item compute and private-data traffic are unchanged, while the
-    expensive constants (evks, BConv matrices, plaintexts) are fetched
-    *once* and multicast to every cluster — modeled by the
-    ``constant_share`` divisor threaded through the scheduler and
-    simulator rather than by slicing the chip, so the amortized per-item
-    latency reflects exactly the sharing benefit Section VII-A claims.
-    """
-    return hw
-
-
 def _evaluate_once(
     point: DesignPoint,
     workload_name: str,
@@ -265,7 +251,15 @@ def _evaluate_once(
 ) -> EvalResult:
     options = _workload_options(point, params, r_hyb, decompose_ntt)
     workload = _build_workload(workload_name, params, options)
-    hw = _cluster_hw(point.hw, clusters)
+    hw = point.hw
+    # Data-parallel CROPHE-p: the clusters process independent inputs
+    # interleaved on the chip.  Per-item compute and private-data
+    # traffic are unchanged, while the expensive constants (evks, BConv
+    # matrices, plaintexts) are fetched *once* and multicast to every
+    # cluster — modeled by this ``constant_share`` divisor threaded
+    # through the scheduler and simulator rather than by slicing the
+    # chip, so the amortized per-item latency reflects exactly the
+    # sharing benefit Section VII-A claims.
     config = replace(base_config, constant_share=clusters)
     residency = base_config.keep_fraction
     engine = SimulationEngine(

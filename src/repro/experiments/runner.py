@@ -165,7 +165,12 @@ def run_table3(quick: bool = False) -> str:
 
 
 def run_table4(quick: bool = False) -> str:
-    """Regenerate Table IV (always full: it is cheap)."""
+    """Regenerate Table IV.
+
+    Ignores ``quick``: the table is a fixed grid of six ResNet-20
+    designs with no reduced form, which makes it one of the most
+    expensive cells of the quick suite.
+    """
     _maybe_force_fail("table4")
     from repro.experiments.table4 import format_table4, table4
 

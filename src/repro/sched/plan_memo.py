@@ -8,14 +8,12 @@ allocation, traffic metrics) reads nothing but the window's structure,
 the hardware configuration, and the NTT split, so one construction can
 serve every structurally identical window.
 
-Two tiers behind :data:`MEMO` (process-wide, thread-safe):
-
-* an **in-memory tier** keyed by ``(hw, n_split, window_key(...))`` —
-  a plain tuple, uid-free, cheap to hash;
-* an optional **on-disk tier** under the existing content-addressed
-  :class:`~repro.dse.cache.ArtifactCache` (kind ``"plan"``), active
-  whenever the DSE cache root is configured, so sweeps share plan
-  structures across processes and runs.
+:data:`MEMO` (process-wide, thread-safe) is memory-only, keyed by
+``(hw, n_split, window_key(...))`` — a plain tuple, uid-free, cheap to
+hash.  Nothing is persisted per priced window: the only skeletons a
+later process needs are the winning cover's, and those travel inside
+the schedule document (:mod:`repro.sched.serialize`), which seeds them
+back into the memo (:meth:`PlanMemo.seed`) before a replay.
 
 What is stored is a :class:`PlanSkeleton`: the plan's chosen loop
 nests, edge match depths, PE allocation, and metrics with every
@@ -29,7 +27,7 @@ would produce: same nests, same integer metrics in the same dict
 order, and therefore float-identical schedules downstream.  The
 determinism tests in ``tests/sched/test_plan_memo.py`` pin this.
 
-``REPRO_PLAN_MEMO=0`` disables both tiers (every window constructs
+``REPRO_PLAN_MEMO=0`` disables the memo (every window constructs
 fresh) — the comparison baseline for those tests and for benchmarking.
 """
 
@@ -45,11 +43,13 @@ from repro.ir.graph import OperatorGraph
 from repro.ir.loops import Axis, Loop, LoopNest
 from repro.ir.operators import Operator
 from repro.obs.tracer import span as _span
+from repro.resilience.errors import InvariantViolation
 from repro.sched.dataflow import GroupMetrics, SpatialGroupPlan
 from repro.sched.tiling import NestAssignment
 
 __all__ = [
     "MEMO",
+    "METRIC_FIELDS",
     "PlanMemo",
     "PlanSkeleton",
     "instantiate",
@@ -75,9 +75,6 @@ def memo_enabled() -> bool:
 #: :func:`_memo_hw`).
 _HW_PROJECTION: Dict[HardwareConfig, HardwareConfig] = {}
 
-#: Canonical-JSON payloads of projected configs (see ``_fingerprint``).
-_HW_PAYLOAD: Dict[HardwareConfig, Any] = {}
-
 
 def _memo_hw(hw: HardwareConfig) -> HardwareConfig:
     """The hardware identity plans actually depend on.
@@ -92,8 +89,7 @@ def _memo_hw(hw: HardwareConfig) -> HardwareConfig:
     live config the instantiated plan carries.  Projecting all of it to
     canonical values lets structural twins share skeletons across
     Figure 10's SRAM sweep points, across Table I's bandwidth/frequency
-    variants, and across the workloads of a whole sweep (the disk tier
-    keys on this projection too).
+    variants, and across the workloads of a whole sweep.
     """
     proj = _HW_PROJECTION.get(hw)
     if proj is None:
@@ -214,6 +210,14 @@ def window_key(
 # ---------------------------------------------------------------------
 
 
+#: The scalar :class:`~repro.sched.dataflow.GroupMetrics` fields, in
+#: the order skeleton and schedule documents list them.
+METRIC_FIELDS = (
+    "compute_cycles", "buffer_bytes", "noc_bytes", "transpose_bytes",
+    "sram_bytes", "dram_read_bytes", "dram_write_bytes",
+)
+
+
 @dataclass(frozen=True)
 class PlanSkeleton:
     """A plan with every uid translated to a window position.
@@ -277,13 +281,7 @@ def skeleton_of(plan: SpatialGroupPlan) -> PlanSkeleton:
         pe_allocation=tuple(
             (pos[uid], pes) for uid, pes in plan.pe_allocation.items()
         ),
-        compute_cycles=m.compute_cycles,
-        buffer_bytes=m.buffer_bytes,
-        noc_bytes=m.noc_bytes,
-        transpose_bytes=m.transpose_bytes,
-        sram_bytes=m.sram_bytes,
-        dram_read_bytes=m.dram_read_bytes,
-        dram_write_bytes=m.dram_write_bytes,
+        **{name: getattr(m, name) for name in METRIC_FIELDS},
         constant_bytes=tuple(
             (*refs[uid], nbytes) for uid, nbytes in m.constant_bytes.items()
         ),
@@ -349,79 +347,52 @@ def instantiate(
 
 
 # ---------------------------------------------------------------------
-# Disk round trip (ArtifactCache kind "plan")
+# Document round trip (carried by schedule documents)
 # ---------------------------------------------------------------------
 
 
+#: Skeleton fields stored as lists of integer rows, with each row's arity.
+_ROW_FIELDS = {
+    "edge_matches": 3, "pe_allocation": 2, "constant_bytes": 3,
+    "external_read_bytes": 3, "boundary_ins": 2, "boundary_outs": 2,
+}
+
+
 def skeleton_to_doc(skeleton: PlanSkeleton) -> Dict[str, Any]:
-    """JSON document form of a skeleton (for the disk tier)."""
-    return {
-        "nests": [
-            [[loop.axis.value, loop.size] for loop in nest.loops]
-            for nest in skeleton.nests
-        ],
-        "edge_matches": [list(e) for e in skeleton.edge_matches],
-        "pe_allocation": [list(a) for a in skeleton.pe_allocation],
-        "metrics": {
-            "compute_cycles": skeleton.compute_cycles,
-            "buffer_bytes": skeleton.buffer_bytes,
-            "noc_bytes": skeleton.noc_bytes,
-            "transpose_bytes": skeleton.transpose_bytes,
-            "sram_bytes": skeleton.sram_bytes,
-            "dram_read_bytes": skeleton.dram_read_bytes,
-            "dram_write_bytes": skeleton.dram_write_bytes,
-        },
-        "constant_bytes": [list(c) for c in skeleton.constant_bytes],
-        "external_read_bytes": [
-            list(c) for c in skeleton.external_read_bytes
-        ],
-        "boundary_ins": [list(r) for r in skeleton.boundary_ins],
-        "boundary_outs": [list(r) for r in skeleton.boundary_outs],
+    """JSON document form of a skeleton (one per schedule step)."""
+    doc: Dict[str, Any] = {
+        name: [list(row) for row in getattr(skeleton, name)]
+        for name in _ROW_FIELDS
     }
+    doc["nests"] = [
+        [[loop.axis.value, loop.size] for loop in nest.loops]
+        for nest in skeleton.nests
+    ]
+    doc["metrics"] = {name: getattr(skeleton, name) for name in METRIC_FIELDS}
+    return doc
 
 
 def skeleton_from_doc(doc: Any) -> Optional[PlanSkeleton]:
-    """Parse a disk document back into a skeleton.
+    """Parse a skeleton document back into a skeleton.
 
-    Returns ``None`` for anything malformed — a corrupt or foreign
-    entry degrades to a cache miss (the shared :mod:`repro.dse.cache`
-    contract), never an exception into the scheduler.
+    Returns ``None`` for anything malformed.  Only types and shapes are
+    checked here; whether the references fit a concrete window is
+    :meth:`PlanMemo.seed`'s job.
     """
     try:
-        nests = tuple(
+        fields: Dict[str, Any] = {
+            name: int(doc["metrics"][name]) for name in METRIC_FIELDS
+        }
+        for name, arity in _ROW_FIELDS.items():
+            rows = tuple(tuple(int(x) for x in row) for row in doc[name])
+            if any(len(row) != arity for row in rows):
+                return None
+            fields[name] = rows
+        fields["nests"] = tuple(
             LoopNest(Loop(Axis(axis), int(size)) for axis, size in nest)
             for nest in doc["nests"]
         )
-        m = doc["metrics"]
-        return PlanSkeleton(
-            nests=nests,
-            edge_matches=tuple(
-                (int(p), int(c), int(d)) for p, c, d in doc["edge_matches"]
-            ),
-            pe_allocation=tuple(
-                (int(p), int(n)) for p, n in doc["pe_allocation"]
-            ),
-            compute_cycles=int(m["compute_cycles"]),
-            buffer_bytes=int(m["buffer_bytes"]),
-            noc_bytes=int(m["noc_bytes"]),
-            transpose_bytes=int(m["transpose_bytes"]),
-            sram_bytes=int(m["sram_bytes"]),
-            dram_read_bytes=int(m["dram_read_bytes"]),
-            dram_write_bytes=int(m["dram_write_bytes"]),
-            constant_bytes=tuple(
-                (int(p), int(i), int(b)) for p, i, b in doc["constant_bytes"]
-            ),
-            external_read_bytes=tuple(
-                (int(p), int(i), int(b))
-                for p, i, b in doc["external_read_bytes"]
-            ),
-            boundary_ins=tuple(
-                (int(p), int(i)) for p, i in doc["boundary_ins"]
-            ),
-            boundary_outs=tuple(
-                (int(p), int(i)) for p, i in doc["boundary_outs"]
-            ),
-        )
+        return PlanSkeleton(**fields)
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -431,16 +402,34 @@ def skeleton_from_doc(doc: Any) -> Optional[PlanSkeleton]:
 # ---------------------------------------------------------------------
 
 
-class PlanMemo:
-    """Two-tier structural plan store (thread-safe).
+def _ref_problem(
+    skeleton: PlanSkeleton, ops: Sequence[Operator]
+) -> Optional[str]:
+    """The first reference of ``skeleton`` that ``ops`` cannot resolve
+    (``None`` when all fit — :func:`instantiate` indexes unchecked)."""
+    n = len(ops)
+    if len(skeleton.nests) != n:
+        return f"{len(skeleton.nests)} nests for {n} operators"
+    positions = [p for p, _ in skeleton.pe_allocation]
+    positions += [x for edge in skeleton.edge_matches for x in edge[:2]]
+    if not all(0 <= p < n for p in positions):
+        return "operator position out of range"
+    ins = [r[:2] for r in skeleton.constant_bytes + skeleton.external_read_bytes]
+    for side, refs in (("inputs", ins + list(skeleton.boundary_ins)),
+                       ("outputs", skeleton.boundary_outs)):
+        for p, i in refs:
+            if not (0 <= p < n and 0 <= i < len(getattr(ops[p], side))):
+                return f"{side} reference ({p}, {i}) out of range"
+    return None
 
-    The disk tier piggybacks on the shared DSE
-    :data:`~repro.dse.cache.CACHE` (kind ``"plan"``), so it follows the
-    same root resolution (``REPRO_DSE_CACHE`` / ``--cache-dir``),
-    atomic-write discipline, and corrupt-degrades-to-miss contract.
-    Counters are accumulated under the lock; the scheduler stamps them
-    into the metric registry once per search (parallel pricing threads
-    must not race on registry counters).
+
+class PlanMemo:
+    """Memory-only structural plan store (thread-safe).
+
+    ``disk_hit`` counts skeletons :meth:`seed` took from schedule
+    documents.  Counters are accumulated under the lock; the scheduler
+    stamps them into the metric registry once per search (parallel
+    pricing threads must not race on registry counters).
     """
 
     def __init__(self) -> None:
@@ -450,45 +439,51 @@ class PlanMemo:
             "memo_hit": 0, "memo_miss": 0, "disk_hit": 0,
         }
 
-    def _count(self, stat: str) -> None:
-        with self._lock:
-            self.stats[stat] += 1
-
     def snapshot(self) -> Dict[str, int]:
         """Copy of the cumulative counters (for per-search deltas)."""
         with self._lock:
             return dict(self.stats)
 
     def clear(self) -> None:
-        """Drop the in-memory tier and zero the counters (tests)."""
+        """Drop every skeleton and zero the counters (tests)."""
         with self._lock:
             self._skeletons.clear()
             for key in self.stats:
                 self.stats[key] = 0
 
-    def _fingerprint(
+    def seed(
         self,
+        graph: OperatorGraph,
+        ops: Sequence[Operator],
         hw: HardwareConfig,
         n_split: Optional[Tuple[int, int]],
-        key: Tuple[Any, ...],
-    ) -> str:
-        # Imported lazily: repro.dse.fingerprint imports the scheduler.
-        from repro.dse.fingerprint import FORMAT_VERSION, digest, hw_payload
+        doc: Any,
+    ) -> None:
+        """Enter a schedule document's skeleton ``doc`` (as written by
+        :func:`skeleton_to_doc`) for the window ``ops``, unless the memo
+        already holds that structure.
 
-        # ``hw`` here is the projected memo config — a handful of
-        # distinct objects per process — so its asdict() payload is
-        # cached (fingerprints run once per memory-tier miss).
-        payload = _HW_PAYLOAD.get(hw)
-        if payload is None:
-            payload = hw_payload(hw)
-            _HW_PAYLOAD[hw] = payload
-        return digest({
-            "kind": "plan",
-            "version": FORMAT_VERSION,
-            "hw": payload,
-            "n_split": list(n_split) if n_split else None,
-            "window": key,
-        })
+        Raises:
+            InvariantViolation: when ``doc`` is malformed or a reference
+                falls outside the window (callers re-search).
+        """
+        key = (_memo_hw(hw), n_split, window_key(graph, ops))
+        with self._lock:
+            if key in self._skeletons:
+                return
+        skeleton = skeleton_from_doc(doc)
+        problem = (
+            "malformed document" if skeleton is None
+            else _ref_problem(skeleton, ops)
+        )
+        if problem is not None:
+            raise InvariantViolation(
+                "repro.sched.plan_memo.PlanMemo.seed",
+                f"skeleton does not fit its window: {problem}",
+            )
+        with self._lock:
+            self._skeletons[key] = skeleton
+            self.stats["disk_hit"] += 1
 
     def lookup(
         self,
@@ -500,16 +495,14 @@ class PlanMemo:
     ) -> Tuple[PlanSkeleton, Optional[SpatialGroupPlan]]:
         """The skeleton for ``ops`` plus the live plan a miss built.
 
-        Tier order: memory skeleton, then disk (only when the DSE cache
-        has a root), then fresh construction — which back-fills both
-        tiers.  Hits return ``(skeleton, None)`` without instantiating
-        a live plan, which is what lets the scheduler's vectorized
-        search price windows straight off skeleton integers; a miss
-        returns the freshly constructed plan alongside its skeleton so
-        the caller never pays construction twice.  A fresh construction
-        runs under a ``sched.plan`` span so cold traces show exactly
-        where structural planning time goes; hits are span-free (they
-        are dict lookups).
+        Hits return ``(skeleton, None)`` without instantiating a live
+        plan, which is what lets the scheduler's vectorized search
+        price windows straight off skeleton integers; a miss constructs
+        the plan, stores its skeleton, and returns both so the caller
+        never pays construction twice.  A fresh construction runs under
+        a ``sched.plan`` span so cold traces show exactly where
+        structural planning time goes; hits are span-free (they are
+        dict lookups).
         """
         key = (_memo_hw(hw), n_split, window_key(graph, ops, uids))
         # One lock round trip covers both the lookup and the counter —
@@ -520,58 +513,13 @@ class PlanMemo:
                 self.stats["memo_hit"] += 1
         if skeleton is not None:
             return skeleton, None
-        # Imported lazily: repro.dse depends on this package.
-        from repro.dse.cache import CACHE
-
-        fp = None
-        if CACHE.root is not None:
-            fp = self._fingerprint(key[0], n_split, key[2])
-            doc = CACHE.get("plan", fp)
-            if doc is not None:
-                skeleton = skeleton_from_doc(doc)
-            if skeleton is not None:
-                with self._lock:
-                    self._skeletons[key] = skeleton
-                self._count("disk_hit")
-                return skeleton, None
         with _span("sched.plan", ops=len(ops)):
             plan = SpatialGroupPlan(graph, ops, hw, n_split)
         skeleton = skeleton_of(plan)
         with self._lock:
             self._skeletons[key] = skeleton
-        self._count("memo_miss")
-        if fp is not None:
-            CACHE.put(
-                "plan", fp, skeleton_to_doc(skeleton),
-                meta={"ops": len(ops), "hw": hw.name},
-            )
+            self.stats["memo_miss"] += 1
         return skeleton, plan
-
-    def plan_for(
-        self,
-        graph: OperatorGraph,
-        ops: Sequence[Operator],
-        hw: HardwareConfig,
-        n_split: Optional[Tuple[int, int]] = None,
-        enabled: Optional[bool] = None,
-        uids: Optional[Tuple[int, ...]] = None,
-    ) -> SpatialGroupPlan:
-        """A live plan for ``ops``, served structurally when possible.
-
-        ``enabled`` short-circuits the per-call environment read; the
-        scheduler samples :func:`memo_enabled` once at construction and
-        passes it through (this runs for every window of every search).
-        ``uids`` forwards the caller's precomputed uid tuple to
-        :func:`window_key`.
-        """
-        if enabled is None:
-            enabled = memo_enabled()
-        if not enabled:
-            return SpatialGroupPlan(graph, ops, hw, n_split)
-        skeleton, plan = self.lookup(graph, ops, hw, n_split, uids)
-        if plan is not None:
-            return plan
-        return instantiate(skeleton, graph, ops, hw, n_split)
 
 
 #: The process-wide memo every :class:`~repro.sched.scheduler.

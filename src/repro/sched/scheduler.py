@@ -502,10 +502,18 @@ class Scheduler:
         key = tuple(op.uid for op in window)
         plan = self._plan_cache.get(key)
         if plan is None:
-            plan = _PLAN_MEMO.plan_for(
-                self.graph, window, self.hw, self.n_split,
-                enabled=self._memo_enabled, uids=key,
-            )
+            if not self._memo_enabled:
+                plan = SpatialGroupPlan(
+                    self.graph, window, self.hw, self.n_split
+                )
+            else:
+                skeleton, plan = _PLAN_MEMO.lookup(
+                    self.graph, window, self.hw, self.n_split, uids=key,
+                )
+                if plan is None:
+                    plan = _instantiate(
+                        skeleton, self.graph, window, self.hw, self.n_split
+                    )
             self._plan_cache[key] = plan
         return plan
 

@@ -11,6 +11,11 @@ is deterministic — :func:`schedule_from_doc` rebuilds *exactly* the
 same steps by replaying it through
 :meth:`~repro.sched.scheduler.Scheduler.replay` (no DP search).
 
+Each step of a non-MAD schedule also carries its plan skeleton
+(:mod:`repro.sched.plan_memo`), which :func:`schedule_from_doc` seeds
+into the plan memo so the replay instantiates plans instead of
+constructing them.
+
 Per-step seconds/metrics are stored alongside the cover for inspection
 and for the exact-equality round-trip check, but the replay recomputes
 them; the stored copies are never trusted as pricing.
@@ -27,6 +32,12 @@ from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
 from repro.resilience.errors import InvariantViolation
 from repro.sched.dataflow import Schedule
+from repro.sched.plan_memo import (
+    MEMO,
+    METRIC_FIELDS,
+    skeleton_of,
+    skeleton_to_doc,
+)
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 
 __all__ = [
@@ -50,27 +61,24 @@ def schedule_to_doc(
     Valid only for schedules whose steps tile one graph's topological
     order contiguously (everything :class:`~repro.sched.scheduler.
     Scheduler` and the MAD baseline produce; *not* the concatenated
-    output of ``schedule_partitioned``).
+    output of ``schedule_partitioned``).  MAD schedules carry no
+    skeletons: their depth-1 plans must not enter the shared memo.
     """
     steps = []
     for step in schedule.steps:
-        metrics = step.metrics
-        steps.append({
+        entry = {
             "seconds": step.seconds,
             "ops": [op.name for op in step.plan.ops],
             "metrics": {
-                "compute_cycles": metrics.compute_cycles,
-                "buffer_bytes": metrics.buffer_bytes,
-                "noc_bytes": metrics.noc_bytes,
-                "transpose_bytes": metrics.transpose_bytes,
-                "sram_bytes": metrics.sram_bytes,
-                "dram_read_bytes": metrics.dram_read_bytes,
-                "dram_write_bytes": metrics.dram_write_bytes,
+                name: getattr(step.metrics, name) for name in METRIC_FIELDS
             },
             "resident_input_count": len(step.resident_inputs),
             "resident_constant_count": len(step.resident_constants),
             "kept_output_count": len(step.kept_outputs),
-        })
+        }
+        if dataflow != "mad":
+            entry["skeleton"] = skeleton_to_doc(skeleton_of(step.plan))
+        steps.append(entry)
     return {
         "kind": _SCHEDULE_KIND,
         "dataflow": dataflow,
@@ -116,11 +124,25 @@ def schedule_from_doc(
         scheduler = MadScheduler(graph, hw, config)
     else:
         scheduler = Scheduler(graph, hw, config, n_split=n_split)
+        _seed_plan_memo(scheduler, doc)
     schedule = scheduler.replay(doc["window_sizes"])
     schedule.repeat = int(doc.get("repeat", 1))
     schedule.degraded = bool(doc.get("degraded", False))
     schedule.degraded_reason = str(doc.get("degraded_reason", ""))
     return schedule
+
+
+def _seed_plan_memo(scheduler: Scheduler, doc: Dict[str, Any]) -> None:
+    """Enter the document's per-step skeletons into the plan memo."""
+    order = scheduler.graph.operators_topological()
+    start = 0
+    for size, step in zip(doc["window_sizes"], doc.get("steps") or ()):
+        MEMO.seed(
+            scheduler.graph, tuple(order[start: start + size]),
+            scheduler.hw, scheduler.n_split,
+            step.get("skeleton") if isinstance(step, dict) else None,
+        )
+        start += size
 
 
 def eval_result_to_doc(result: Any) -> Dict[str, Any]:

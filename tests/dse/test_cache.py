@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from repro.dse.__main__ import main as dse_main
 from repro.dse.cache import (
     ArtifactCache,
     aggregate_stats,
@@ -164,6 +165,37 @@ class TestMaintenance:
         assert not os.path.exists(path)
         assert os.path.exists(cache.entry_path("result", FP))
         assert cache.stats["evictions"] == 1
+
+    @staticmethod
+    def _retired_plan_tree(root):
+        """A pre-format-2 ``plan/`` tree: valid-looking envelopes of a
+        kind no reader asks for any more."""
+        for fp in (digest({"plan": 1}), digest({"plan": 2})):
+            path = os.path.join(root, "plan", fp[:2], f"{fp}.json")
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({"version": 1, "kind": "plan", "fingerprint": fp,
+                           "meta": {}, "payload": {}}, handle)
+        return os.path.join(root, "plan")
+
+    def test_stat_reports_retired_kind_dirs(self, cache, capsys):
+        cache.put("result", FP, {"value": 1})
+        plan_dir = self._retired_plan_tree(cache.root)
+        assert {e.kind for e in scan_entries(cache.root)} == {"result"}
+        assert dse_main(["stat", "--cache-dir", cache.root]) == 0
+        out = capsys.readouterr().out
+        assert f"retired        2 files    {plan_dir}" in out
+
+    def test_gc_removes_retired_kind_dirs(self, cache, capsys):
+        cache.put("result", FP, {"value": 1})
+        plan_dir = self._retired_plan_tree(cache.root)
+        assert gc_cache(cache.root, cache=cache) == 2
+        assert not os.path.exists(plan_dir)
+        assert os.path.exists(cache.entry_path("result", FP))
+        assert cache.stats["evictions"] == 2
+        capsys.readouterr()
+        assert dse_main(["stat", "--cache-dir", cache.root]) == 0
+        assert "(gc removes)" not in capsys.readouterr().out
 
     def test_aggregate_stats_sums_sidecars(self, cache):
         cache.put("result", FP, {"value": 1})

@@ -1,9 +1,9 @@
 """Structural plan memoization, parallel pricing, and DP-loop fixes.
 
 The hard requirement the first two classes pin: the memo (on/off, warm
-or cold, memory or disk tier) and the frontier-pricing thread count
-must be **invisible** in the output — float-identical schedules,
-identical serialized window covers.  The later classes are regression
+or cold, or seeded from a schedule document) and the frontier-pricing
+thread count must be **invisible** in the output — float-identical
+schedules, identical serialized window covers.  The later classes are regression
 tests for two DP-loop bugs: an infeasible window size silently pruning
 every larger candidate at its frontier, and mid-size-loop budget
 interruptions resuming at the wrong window size (double-charging the
@@ -17,11 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.dse.cache import scan_entries
+from repro.experiments.common import _schedule_segment, clear_cache
 from repro.fhe.params import CKKSParams, parameter_set
 from repro.hw.config import CROPHE_36, CROPHE_64
 from repro.ir.builders import GraphBuilder
 from repro.resilience.checkpoint import SearchCheckpoint
-from repro.resilience.errors import SearchBudgetExceeded
+from repro.resilience.errors import CacheError, SearchBudgetExceeded
 from repro.sched.dataflow import SpatialGroupPlan
 from repro.sched.plan_memo import (
     MEMO,
@@ -52,19 +54,17 @@ TINY_BOOT = CKKSParams(
 def _fresh_memo(monkeypatch):
     """Each test starts memo-enabled with empty tiers and no disk root.
 
-    The DSE cache's in-memory front also gets dropped: structural plan
-    fingerprints are intentionally identical across same-shaped graphs,
-    so entries would otherwise leak between tests.
+    The evaluation pipeline's in-memory fronts also get dropped:
+    schedule fingerprints are structural, so same-shaped graphs would
+    otherwise share entries between tests.
     """
-    from repro.dse.cache import CACHE
-
     monkeypatch.delenv("REPRO_PLAN_MEMO", raising=False)
     monkeypatch.delenv("REPRO_DSE_CACHE", raising=False)
     MEMO.clear()
-    CACHE.clear_memory()
+    clear_cache()
     yield
     MEMO.clear()
-    CACHE.clear_memory()
+    clear_cache()
 
 
 def _hmult_graph():
@@ -76,6 +76,11 @@ def _hmult_graph():
 
 def _doc(schedule):
     return json.dumps(schedule_to_doc(schedule), sort_keys=True)
+
+
+def _cached_schedule(graph):
+    """One segment schedule through the DSE cache's schedule tier."""
+    return _schedule_segment(graph, CROPHE_64, "crophe", SchedulerConfig(), None)
 
 
 def _schedule(graph, hw, monkeypatch, memo=True, jobs=1, **knobs):
@@ -251,44 +256,78 @@ class TestDiskTier:
     def test_disk_tier_serves_new_process_identically(
         self, tmp_path, monkeypatch
     ):
-        """Clearing the in-memory tiers simulates a fresh process: the
-        second search is served from disk (disk hits, zero construction
-        misses) and is byte-identical."""
-        from repro.dse.cache import CACHE
-
+        """Clearing every in-memory tier simulates a fresh process: the
+        schedule document's skeletons serve the replay (seeded hits,
+        zero construction misses) and it is byte-identical."""
         monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path))
         graph = _hmult_graph()
-        first = Scheduler(graph, CROPHE_64, SchedulerConfig()).schedule()
+        first = _cached_schedule(graph)
         assert MEMO.stats["memo_miss"] >= 1
+        clear_cache()  # disk entries survive
         MEMO.clear()
-        CACHE.clear_memory()  # disk entries survive
-        cold = Scheduler(graph, CROPHE_64, SchedulerConfig())
-        second = cold.schedule()
-        assert MEMO.stats["disk_hit"] >= 1
+        second = _cached_schedule(graph)
+        assert second is not first
         assert MEMO.stats["memo_miss"] == 0
+        assert MEMO.stats["disk_hit"] >= 1
         assert _doc(second) == _doc(first)
+
+    def test_cold_search_writes_no_plan_files(self, tmp_path, monkeypatch):
+        """Per-window skeletons are never persisted: a cold search that
+        constructs plans leaves one schedule entry and nothing else."""
+        monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path))
+        _cached_schedule(_hmult_graph())
+        assert MEMO.stats["memo_miss"] >= 1
+        assert not (tmp_path / "plan").exists()
+        entries = list(scan_entries(str(tmp_path)))
+        assert [entry.kind for entry in entries] == ["schedule"]
 
     def test_corrupt_disk_entry_falls_back_to_construction(
         self, tmp_path, monkeypatch
     ):
-        from repro.dse.cache import CACHE
-
+        """Wrong-shaped skeletons inside an otherwise valid schedule
+        document degrade to a fresh search, never an exception."""
         monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path))
         graph = _hmult_graph()
-        first = Scheduler(graph, CROPHE_64, SchedulerConfig()).schedule()
-        # Vandalize every stored plan payload: valid JSON with a valid
-        # envelope but a wrong-shaped payload — the parse must degrade
-        # to a miss (fresh construction), never an exception.
-        plan_dir = tmp_path / "plan"
-        victims = list(plan_dir.rglob("*.json"))
+        first = _cached_schedule(graph)
+        victims = list((tmp_path / "schedule").rglob("*.json"))
         assert victims
         for path in victims:
             doc = json.loads(path.read_text())
-            doc["payload"] = {"nests": "gone"}
+            for step in doc["payload"]["steps"]:
+                step["skeleton"] = {"nests": "gone"}
             path.write_text(json.dumps(doc))
+        clear_cache()
         MEMO.clear()
-        CACHE.clear_memory()
-        second = Scheduler(graph, CROPHE_64, SchedulerConfig()).schedule()
+        with pytest.warns(CacheError, match="re-searching"):
+            second = _cached_schedule(graph)
+        assert MEMO.stats["memo_miss"] >= 1
+        assert _doc(second) == _doc(first)
+
+    @pytest.mark.parametrize(
+        "field, column", [("boundary_ins", 1), ("pe_allocation", 0)]
+    )
+    def test_out_of_range_ref_falls_back_to_search(
+        self, field, column, tmp_path, monkeypatch
+    ):
+        """A well-formed skeleton whose reference points outside its
+        window (here: one op position or input index pushed to 99) is
+        rejected when seeded and re-searched, instead of crashing the
+        replay with an IndexError."""
+        monkeypatch.setenv("REPRO_DSE_CACHE", str(tmp_path))
+        graph = _hmult_graph()
+        first = _cached_schedule(graph)
+        (path,) = (tmp_path / "schedule").rglob("*.json")
+        doc = json.loads(path.read_text())
+        victim = next(
+            step["skeleton"] for step in doc["payload"]["steps"]
+            if step["skeleton"][field]
+        )
+        victim[field][0][column] = 99
+        path.write_text(json.dumps(doc))
+        clear_cache()
+        MEMO.clear()
+        with pytest.warns(CacheError, match="does not fit its window"):
+            second = _cached_schedule(graph)
         assert MEMO.stats["memo_miss"] >= 1
         assert _doc(second) == _doc(first)
 
