@@ -25,6 +25,7 @@ MAD to all baselines for fairness); on CROPHE hardware it reproduces the
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional, Sequence, Tuple
 
 from repro.hw.config import HardwareConfig
@@ -84,29 +85,21 @@ class MadScheduler(Scheduler):
         config: Optional[SchedulerConfig] = None,
     ):
         base = config or SchedulerConfig()
-        mad_config = SchedulerConfig(
+        # Only MAD's own clamps change; every other knob the caller set
+        # (stream window, chained segment I/O, budgets, ...) carries over.
+        mad_config = dataclasses.replace(
+            base,
             max_group_size=min(base.max_group_size, MAD_MAX_GROUP),
             keep_fraction=min(base.keep_fraction, MAD_KEEP_FRACTION),
             constant_residency_fraction=min(
                 base.constant_residency_fraction, MAD_CONSTANT_FRACTION
             ),
-            min_ntt_tile=base.min_ntt_tile,
-            constant_share=base.constant_share,
             temporal_streaming=False,  # MAD's fusion islands spill between groups
-            max_search_seconds=base.max_search_seconds,
-            max_search_nodes=base.max_search_nodes,
-            fallback_on_budget=base.fallback_on_budget,
-            verify=base.verify,
         )
         super().__init__(graph, hw, mad_config, n_split=None)
 
     def _plan_for(self, window):
-        key = tuple(op.uid for op in window)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = MadSpatialGroupPlan(self.graph, window, self.hw)
-            self._plan_cache[key] = plan
-        return plan
+        return MadSpatialGroupPlan(self.graph, window, self.hw)
 
 
 def mad_schedule(graph: OperatorGraph, hw: HardwareConfig):

@@ -427,9 +427,9 @@ class PlanMemo:
     """Memory-only structural plan store (thread-safe).
 
     ``disk_hit`` counts skeletons :meth:`seed` took from schedule
-    documents.  Counters are accumulated under the lock; the scheduler
-    stamps them into the metric registry once per search (parallel
-    pricing threads must not race on registry counters).
+    documents.  Counters are accumulated under the lock (in-process
+    sweeps may search on several threads); the scheduler stamps them
+    into the metric registry once per search.
     """
 
     def __init__(self) -> None:
@@ -496,8 +496,8 @@ class PlanMemo:
         """The skeleton for ``ops`` plus the live plan a miss built.
 
         Hits return ``(skeleton, None)`` without instantiating a live
-        plan, which is what lets the scheduler's vectorized search
-        price windows straight off skeleton integers; a miss constructs
+        plan, which is what lets the scheduler's search price windows
+        straight off skeleton integers; a miss constructs
         the plan, stores its skeleton, and returns both so the caller
         never pays construction twice.  A fresh construction runs under
         a ``sched.plan`` span so cold traces show exactly where

@@ -18,7 +18,7 @@ from repro.sched.cost_model import (
     schedule_roofline,
 )
 from repro.sched.dataflow import GroupMetrics
-from repro.sched.scheduler import Scheduler
+from repro.sched.scheduler import Scheduler, SchedulerConfig
 
 PARAMS = parameter_set("ARK")
 
@@ -61,38 +61,50 @@ class TestBreakdown:
         assert profile  # at least one bottleneck class
 
 
+def _assert_breakdown_matches_steps(workload, chained_io):
+    from repro.fhe.params import CKKSParams
+    from repro.workloads import build_bootstrapping
+    from repro.workloads.resnet import build_resnet20
+
+    if workload == "bootstrapping":
+        params = CKKSParams(
+            log_n=12, max_level=7, boot_levels=5, dnum=2, alpha=4,
+            word_bits=36, name="tiny",
+        )
+        segments = build_bootstrapping(params).segments
+    else:
+        params = CKKSParams(
+            log_n=12, max_level=13, boot_levels=3, dnum=2, alpha=7,
+            word_bits=36, name="tiny-deep",
+        )
+        segments = build_resnet20(params).segments
+    checked = 0
+    for seg in segments[:3]:
+        sched = Scheduler(
+            seg.graph, CROPHE_64, SchedulerConfig(chained_io=chained_io)
+        ).schedule()
+        for step in sched.steps:
+            bd = group_time_breakdown(step.metrics, CROPHE_64)
+            assert bd.total == step.seconds
+            checked += 1
+    assert checked > 0
+
+
 class TestBreakdownMatchesPlans:
     @pytest.mark.parametrize("workload", ["bootstrapping", "resnet20"])
     def test_total_equals_step_seconds(self, workload):
         """Across whole quick workloads, the standalone decomposition's
         ``total`` reproduces every step's priced seconds *exactly* —
-        the facade and ``SpatialGroupPlan.execution_seconds`` share one
-        definition of each resource term (including the hoisted NoC
-        serialization factor), so any drift between them is a bug."""
-        from repro.fhe.params import CKKSParams
-        from repro.workloads import build_bootstrapping
-        from repro.workloads.resnet import build_resnet20
+        the facade and the DP transition price through one
+        ``GroupPricing``, so any drift between them is a bug."""
+        _assert_breakdown_matches_steps(workload, chained_io=True)
 
-        if workload == "bootstrapping":
-            params = CKKSParams(
-                log_n=12, max_level=7, boot_levels=5, dnum=2, alpha=4,
-                word_bits=36, name="tiny",
-            )
-            segments = build_bootstrapping(params).segments
-        else:
-            params = CKKSParams(
-                log_n=12, max_level=13, boot_levels=3, dnum=2, alpha=7,
-                word_bits=36, name="tiny-deep",
-            )
-            segments = build_resnet20(params).segments
-        checked = 0
-        for seg in segments[:3]:
-            sched = Scheduler(seg.graph, CROPHE_64).schedule()
-            for step in sched.steps:
-                bd = group_time_breakdown(step.metrics, CROPHE_64)
-                assert bd.total == step.seconds
-                checked += 1
-        assert checked > 0
+    @pytest.mark.parametrize("workload", ["bootstrapping", "resnet20"])
+    def test_unchained_total_equals_step_seconds(self, workload):
+        """Unchained segments charge their final outputs' writes to the
+        last step, which must be re-priced through the same
+        ``GroupPricing`` (HBM base latency included)."""
+        _assert_breakdown_matches_steps(workload, chained_io=False)
 
 
 class TestRoofline:

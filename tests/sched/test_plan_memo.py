@@ -1,9 +1,9 @@
-"""Structural plan memoization, parallel pricing, and DP-loop fixes.
+"""Structural plan memoization and DP-loop fixes.
 
 The hard requirement the first two classes pin: the memo (on/off, warm
-or cold, or seeded from a schedule document) and the frontier-pricing
-thread count must be **invisible** in the output — float-identical
-schedules, identical serialized window covers.  The later classes are regression
+or cold, or seeded from a schedule document) must be **invisible** in
+the output — float-identical schedules, identical serialized window
+covers.  The later classes are regression
 tests for two DP-loop bugs: an infeasible window size silently pruning
 every larger candidate at its frontier, and mid-size-loop budget
 interruptions resuming at the wrong window size (double-charging the
@@ -83,10 +83,10 @@ def _cached_schedule(graph):
     return _schedule_segment(graph, CROPHE_64, "crophe", SchedulerConfig(), None)
 
 
-def _schedule(graph, hw, monkeypatch, memo=True, jobs=1, **knobs):
+def _schedule(graph, hw, monkeypatch, memo=True, **knobs):
     monkeypatch.setenv("REPRO_PLAN_MEMO", "1" if memo else "0")
     MEMO.clear()
-    sched = Scheduler(graph, hw, SchedulerConfig(sched_jobs=jobs, **knobs))
+    sched = Scheduler(graph, hw, SchedulerConfig(**knobs))
     return sched, sched.schedule()
 
 
@@ -144,15 +144,15 @@ class TestWindowKey:
 
 
 # ---------------------------------------------------------------------
-# Determinism: memo and thread count must be invisible
+# Determinism: the memo must be invisible
 # ---------------------------------------------------------------------
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("workload", ["resnet20", "bootstrapping"])
     def test_memo_and_jobs_invisible(self, workload, monkeypatch):
-        """Memo off/on and 1 vs 4 pricing threads: float-identical
-        schedules, identical serialized window covers."""
+        """Memo off/on: float-identical schedules, identical serialized
+        window covers."""
         if workload == "resnet20":
             segments = build_resnet20(TINY_DEEP).segments
         else:
@@ -170,11 +170,8 @@ class TestDeterminism:
         for graph in graphs[:3]:
             _, base = _schedule(graph, CROPHE_36, monkeypatch, memo=False)
             sched_on, on = _schedule(graph, CROPHE_36, monkeypatch)
-            _, par = _schedule(graph, CROPHE_36, monkeypatch, jobs=4)
             assert on.total_seconds == base.total_seconds
-            assert par.total_seconds == base.total_seconds
             assert _doc(on) == _doc(base)
-            assert _doc(par) == _doc(base)
             assert sched_on.stats["plan_memo_misses"] >= 1
 
     def test_warm_memo_all_hits_and_identical(self, monkeypatch):
@@ -194,13 +191,12 @@ class TestDeterminism:
     @given(
         max_group_size=st.integers(min_value=1, max_value=6),
         stream_window=st.integers(min_value=1, max_value=4),
-        jobs=st.sampled_from([2, 3, 4]),
     )
     def test_property_identical_under_any_knobs(
-        self, max_group_size, stream_window, jobs
+        self, max_group_size, stream_window
     ):
-        """Any (window, stream, thread) knob combination: memo+threads
-        reproduce the serial memo-free schedule exactly."""
+        """Any (window, stream) knob combination: the memo reproduces
+        the memo-free schedule exactly."""
         graph = _hmult_graph()
         knobs = dict(
             max_group_size=max_group_size, stream_window=stream_window
@@ -214,8 +210,7 @@ class TestDeterminism:
             os.environ["REPRO_PLAN_MEMO"] = "1"
             MEMO.clear()
             fast = Scheduler(
-                graph, CROPHE_64,
-                SchedulerConfig(sched_jobs=jobs, **knobs),
+                graph, CROPHE_64, SchedulerConfig(**knobs)
             ).schedule()
         finally:
             os.environ.pop("REPRO_PLAN_MEMO", None)
@@ -456,27 +451,3 @@ class TestMidSizeResume:
         assert resumed.stats["windows_explored"] == total - chosen
         assert _doc(schedule) == _doc(full_schedule)
         assert schedule.total_seconds == full_schedule.total_seconds
-
-    def test_interrupt_resume_parallel_matches_serial(self, tmp_path):
-        """Resume-equivalence holds under parallel pricing too."""
-        graph = _hmult_graph()
-        full_schedule, total = self._run_uninterrupted(graph)
-        ckpt_path = str(tmp_path / "search.ckpt")
-        budget = max(2, int(total) // 2)
-        interrupted = Scheduler(
-            graph, CROPHE_64,
-            SchedulerConfig(
-                max_search_nodes=budget, fallback_on_budget=False,
-                sched_jobs=4,
-            ),
-            checkpoint_path=ckpt_path,
-        )
-        with pytest.raises(SearchBudgetExceeded):
-            interrupted.schedule()
-        resumed = Scheduler(
-            graph, CROPHE_64, SchedulerConfig(sched_jobs=4),
-            checkpoint_path=ckpt_path,
-        )
-        schedule = resumed.schedule()
-        assert resumed.stats["windows_explored"] == total - budget
-        assert _doc(schedule) == _doc(full_schedule)

@@ -117,6 +117,22 @@ class TestMadScheduler:
         cro = Scheduler(_hmult_graph(), CROPHE_64).schedule()
         assert cro.total_seconds <= mad.total_seconds * 1.05
 
+    def test_mad_keeps_callers_other_knobs(self):
+        """MAD clamps only its own knobs: the caller's stream window,
+        segment chaining and budgets carry over instead of silently
+        resetting to the defaults."""
+        base = SchedulerConfig(
+            max_group_size=7, stream_window=2, chained_io=False,
+            max_search_nodes=10_000, verify="warn",
+        )
+        config = MadScheduler(_hmult_graph(), CROPHE_64, base).config
+        assert config.max_group_size == MAD_MAX_GROUP
+        assert config.temporal_streaming is False
+        assert config.stream_window == 2
+        assert config.chained_io is False
+        assert config.max_search_nodes == 10_000
+        assert config.verify == "warn"
+
 
 class TestMapper:
     def test_placement_covers_all_compute_ops(self, hmult_schedule):
