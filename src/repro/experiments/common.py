@@ -23,8 +23,10 @@ the doc tiers live in :data:`repro.dse.cache.CACHE`.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -124,6 +126,48 @@ _RESULT_LIVE: Dict[str, EvalResult] = {}
 #: r_hyb/cluster variants; structural twins from *different* builds
 #: share one entry too (the fingerprint is structural, not id-based).
 _SCHED_LIVE: Dict[str, Tuple[Schedule, object]] = {}
+
+
+class CollectorPause:
+    """Re-entrant, thread-safe pause of the cyclic garbage collector.
+
+    The cold evaluation path builds a heap of about a million long-lived
+    objects (plan skeletons, window views, DP states) while creating
+    almost no reference cycles, so the collector's full passes scan that
+    heap over and over for nothing — about a third of a cold search's
+    wall time.  Reference counting still frees every acyclic object the
+    moment it dies; only cycles wait, and ``tests/experiments/
+    test_collector_pause.py`` pins that a cold evaluation leaves none.
+
+    The outermost entry records whether the collector was enabled and
+    disables it; the matching exit restores that state, on return and on
+    error alike.  A depth count under a lock makes concurrent
+    evaluations on sweep threads share one pause: the collector resumes
+    when the last of them leaves.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> "CollectorPause":
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+
+
+#: The one pause every evaluation shares (the collector is per process).
+COLLECTOR_PAUSE = CollectorPause()
 
 
 def default_scheduler_config() -> SchedulerConfig:
@@ -341,8 +385,22 @@ def evaluate_workload(
 
     Results flow through the content-addressed cache: a warm hit (live
     map, memory doc, or disk) returns without building graphs or
-    running the scheduler/simulator at all — zero DP searches.
+    running the scheduler/simulator at all — zero DP searches.  The
+    cyclic garbage collector is paused throughout (:class:`CollectorPause`).
     """
+    with COLLECTOR_PAUSE:
+        return _evaluate_workload(
+            point, workload_name, params, scheduler_config, use_cache
+        )
+
+
+def _evaluate_workload(
+    point: DesignPoint,
+    workload_name: str,
+    params: CKKSParams,
+    scheduler_config: Optional[SchedulerConfig],
+    use_cache: bool,
+) -> EvalResult:
     base_config = scheduler_config or default_scheduler_config()
     fp = result_fingerprint(
         _design_payload(point), workload_name, params, base_config

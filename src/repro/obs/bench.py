@@ -15,9 +15,12 @@ telemetry on, and writes one JSON document per run::
     }
 
 Per experiment the snapshot carries the scheduler search counters
-(``sched.windows_explored``, degraded fallbacks, checkpoint activity)
-and the simulator's per-resource busy-cycle totals and bottleneck
-winners — the deterministic half of the baseline.  ``wall_seconds``
+(``sched.windows_explored``, degraded fallbacks, checkpoint activity),
+the simulator's per-resource busy-cycle totals and bottleneck winners
+— the deterministic half of the baseline — and the cell's cyclic
+garbage-collector activity (``gc.collections``, ``gc.pause_seconds``;
+no span shows collector pauses, and a profiler smears them over
+whatever code happened to allocate).  ``wall_seconds``
 and every ``*_seconds`` metric are wall-clock and therefore noisy; the
 differ (:mod:`repro.obs.diffing`) reports them but does not gate on
 them, so a committed baseline survives CI runners of different speed.
@@ -32,12 +35,15 @@ always measures from cold.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 
-__all__ = ["BENCH_KIND", "run_bench", "load_bench", "write_bench"]
+__all__ = [
+    "BENCH_KIND", "GcLedger", "run_bench", "load_bench", "write_bench",
+]
 
 BENCH_KIND = "repro-bench"
 
@@ -59,6 +65,42 @@ def _aggregate_totals(
             ):
                 totals[name] = totals.get(name, 0) + rendered["value"]
     return {name: totals[name] for name in sorted(totals)}
+
+
+class GcLedger:
+    """Counts cyclic-GC collections and their pause time while attached.
+
+    Use as a context manager: it registers itself in ``gc.callbacks``
+    on entry and removes itself on exit.  :meth:`record` stamps the
+    totals into a metric registry — ``gc.collections`` (a counter) and
+    ``gc.pause_seconds`` (a wall-clock gauge, report-only like every
+    ``*_seconds`` metric).
+    """
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.pause_seconds = 0.0
+        self._started: Optional[float] = None
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.pause_seconds += time.perf_counter() - self._started
+            self.collections += 1
+            self._started = None
+
+    def __enter__(self) -> "GcLedger":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        gc.callbacks.remove(self)
+
+    def record(self, registry: "obs.MetricsRegistry") -> None:
+        """Add the totals to ``registry``."""
+        registry.counter("gc.collections").inc(self.collections)
+        registry.gauge("gc.pause_seconds").set(self.pause_seconds)
 
 
 def run_bench(
@@ -93,9 +135,12 @@ def run_bench(
             obs.reset()
             obs.enable(events=collect_events)
             start = time.perf_counter()
-            with obs.span(f"bench.{name}", quick=quick):
+            with GcLedger() as ledger, obs.span(
+                f"bench.{name}", quick=quick
+            ):
                 output = EXPERIMENTS[name](quick=quick)
             wall = time.perf_counter() - start
+            ledger.record(obs.REGISTRY)
             experiments[name] = {
                 "wall_seconds": round(wall, 3),
                 "output_chars": len(output),

@@ -5,15 +5,16 @@ window *structure* — a KeySwitch ladder, a BSGS rotation diamond, an
 NTT phase pair — recurs dozens of times per graph and across every
 graph of a sweep.  Plan construction (loop-nest assignment, PE
 allocation, traffic metrics) reads nothing but the window's structure,
-the hardware configuration, and the NTT split, so one construction can
-serve every structurally identical window.
+the hardware configuration, the NTT split and the match-depth clamp, so
+one construction can serve every structurally identical window.
 
 :data:`MEMO` (process-wide, thread-safe) is memory-only, keyed by
-``(hw, n_split, window_key(...))`` — a plain tuple, uid-free, cheap to
-hash.  Nothing is persisted per priced window: the only skeletons a
-later process needs are the winning cover's, and those travel inside
-the schedule document (:mod:`repro.sched.serialize`), which seeds them
-back into the memo (:meth:`PlanMemo.seed`) before a replay.
+``(hw projection id, n_split id, match depth, window id)`` — four small
+integers (:func:`memo_context` plus :meth:`WindowTables.window_id`).
+Nothing is persisted per priced window: the only skeletons a later
+process needs are the winning cover's, and those travel inside the
+schedule document (:mod:`repro.sched.serialize`), which seeds them back
+into the memo (:meth:`PlanMemo.seed`) before a replay.
 
 What is stored is a :class:`PlanSkeleton`: the plan's chosen loop
 nests, edge match depths, PE allocation, and metrics with every
@@ -36,7 +37,9 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
@@ -52,12 +55,13 @@ __all__ = [
     "METRIC_FIELDS",
     "PlanMemo",
     "PlanSkeleton",
+    "WindowTables",
     "instantiate",
+    "memo_context",
     "memo_enabled",
     "skeleton_from_doc",
     "skeleton_of",
     "skeleton_to_doc",
-    "window_key",
 ]
 
 #: Set to ``0``/``false``/``off`` to disable structural memoization.
@@ -71,16 +75,49 @@ def memo_enabled() -> bool:
     )
 
 
-#: SRAM-capacity/label projection of each hardware config (see
-#: :func:`_memo_hw`).
-_HW_PROJECTION: Dict[HardwareConfig, HardwareConfig] = {}
+class _Interner:
+    """Thread-safe map from a hashable structure to a dense small int.
+
+    Ids are process-wide and never reused, so an id stays valid for as
+    long as any memo key holding it does.
+    """
+
+    __slots__ = ("_ids", "_lock")
+
+    def __init__(self) -> None:
+        self._ids: Dict[Hashable, int] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, key: Hashable) -> int:
+        found = self._ids.get(key)
+        if found is None:
+            with self._lock:
+                found = self._ids.setdefault(key, len(self._ids))
+        return found
 
 
-def _memo_hw(hw: HardwareConfig) -> HardwareConfig:
-    """The hardware identity plans actually depend on.
+#: Hardware construction projections (see :func:`memo_context`).
+_HW_IDS = _Interner()
+#: NTT splits (``None`` or ``(n1, n2)``).
+_SPLIT_IDS = _Interner()
+#: Per-operator structure: signature plus input/output byte sizes.
+_SIGNATURE_IDS = _Interner()
+#: Window prefixes: ``(parent prefix id, one operator's token)``.
+_PREFIX_IDS = _Interner()
+#: Whole windows: ``(prefix id, escape mask)``.
+_WINDOW_IDS = _Interner()
 
-    Plan *construction* (loop-nest assignment, PE allocation, the
-    metrics walk) reads exactly five config fields: ``word_bits``,
+
+def memo_context(
+    hw: HardwareConfig,
+    n_split: Optional[Tuple[int, int]],
+    match_depth: Optional[int],
+) -> Tuple[int, int, int]:
+    """The ``(hw projection id, n_split id, match depth)`` key prefix.
+
+    Computed once per :class:`~repro.sched.scheduler.Scheduler`.  Plan
+    *construction* (loop-nest assignment, PE allocation, the metrics
+    walk) reads exactly five config fields: ``word_bits``,
     ``lanes_per_pe``, ``num_pes``, ``fu_mix``, and ``transpose_unit_mb``
     (the transpose unit's capacity bounds a buffer term).  Everything
     else — the label, clock frequency, DRAM/SRAM/NoC bandwidths, SRAM
@@ -90,119 +127,144 @@ def _memo_hw(hw: HardwareConfig) -> HardwareConfig:
     canonical values lets structural twins share skeletons across
     Figure 10's SRAM sweep points, across Table I's bandwidth/frequency
     variants, and across the workloads of a whole sweep.
+    ``match_depth`` is the scheduler's clamp on in-window match depths
+    (``None`` = unclamped; the MAD baseline clamps to one level).
     """
-    proj = _HW_PROJECTION.get(hw)
-    if proj is None:
-        proj = replace(
-            hw,
-            name="",
-            frequency_ghz=1.0,
-            dram_bandwidth_tbs=1.0,
-            sram_bandwidth_tbs=1.0,
-            sram_capacity_mb=1.0,
-            register_file_kb=0,
-            noc_link_bytes_per_cycle=1,
-            mesh_dims=None,
-            area_mm2=0.0,
-            power_w=0.0,
-        )
-        _HW_PROJECTION[hw] = proj
-    return proj
+    projection = replace(
+        hw,
+        name="",
+        frequency_ghz=1.0,
+        dram_bandwidth_tbs=1.0,
+        sram_bandwidth_tbs=1.0,
+        sram_capacity_mb=1.0,
+        register_file_kb=0,
+        noc_link_bytes_per_cycle=1,
+        mesh_dims=None,
+        area_mm2=0.0,
+        power_w=0.0,
+    )
+    return (
+        _HW_IDS(projection),
+        _SPLIT_IDS(n_split),
+        -1 if match_depth is None else match_depth,
+    )
 
 
 # ---------------------------------------------------------------------
-# Structural window key
+# Structural window ids
 # ---------------------------------------------------------------------
 
 
-def _graph_tables(
-    graph: OperatorGraph,
-) -> Tuple[Dict[int, Tuple], Dict[Tuple[int, ...], Tuple[Any, ...]]]:
-    """Per-operator structural rows plus this graph's window-key cache.
+class WindowTables:
+    """Position-indexed structure of one topological order.
 
-    Both are cached on the graph object (invalidated when its operator
-    count changes): every DP search over a graph — and every NTT-split
-    candidate re-searching it — enumerates the same windows, so the
-    producer/consumer/byte-size walk runs once per operator instead of
-    once per window occurrence.
+    Built once per search (:meth:`~repro.sched.scheduler.Scheduler.
+    _prepare`).  Per position ``p`` of ``order``:
+
+    * ``sig_ids[p]`` — the operator's interned structure
+      (:meth:`~repro.ir.operators.Operator.signature` plus its tensors'
+      byte sizes);
+    * ``ins[p]`` — the input tensor uids;
+    * ``outs[p]`` — ``(tensor uid, last consumer position or -1)`` per
+      output.
+
+    Per tensor uid: ``last_use`` (the last consuming position; dead
+    intermediates leave the DP's resident pool after it),
+    ``producer_pos`` and ``consumer_pos`` (every consuming position,
+    ascending; the DP's streamability checks read these).
+
+    :meth:`window_id` names a window's structure by a small interned
+    integer.  Equal ids mean equal per-operator structure, equal tensor
+    *aliasing* within the window (two operators sharing one constant is
+    cheaper than two distinct constants — signatures alone cannot see
+    this) and with it equal in-window producers, and equal escape fate of
+    every output (consumed outside the window or a graph result) — in
+    the same graph or in different ones — so equal ids yield
+    byte-identical plan skeletons.
     """
-    cached = graph.__dict__.get("_plan_memo_tables")
-    if cached is not None and cached[0] == graph.num_operators:
-        return cached[1], cached[2]
-    rows: Dict[int, Tuple] = {}
-    for op in graph.operators:
-        ins = []
-        for t in op.inputs:
-            producer = graph.producer_of(t)
-            ins.append((
-                t.uid,
-                producer.uid if producer is not None else None,
-                t.kind.value,
-                t.bytes,
-            ))
-        outs = []
-        for t in op.outputs:
-            outs.append((
-                t.uid,
-                tuple(c.uid for c in graph.consumers_of(t)),
-                t.kind.value,
-                t.bytes,
-            ))
-        rows[op.uid] = (op.signature(), tuple(ins), tuple(outs))
-    window_cache: Dict[Tuple[int, ...], Tuple[Any, ...]] = {}
-    graph._plan_memo_tables = (graph.num_operators, rows, window_cache)
-    return rows, window_cache
 
+    __slots__ = (
+        "sig_ids", "ins", "outs", "last_use", "producer_pos",
+        "consumer_pos", "_start", "_local", "_prefix", "_mask", "_dying",
+        "_bits", "_ids",
+    )
 
-def window_key(
-    graph: OperatorGraph,
-    ops: Sequence[Operator],
-    uids: Optional[Tuple[int, ...]] = None,
-) -> Tuple[Any, ...]:
-    """Uid-free structural identity of one candidate window.
+    def __init__(self, order: Sequence[Operator]) -> None:
+        producer_pos: Dict[int, int] = {}
+        consumer_pos: Dict[int, List[int]] = {}
+        last_use: Dict[int, int] = {}
+        sig_ids: List[int] = []
+        ins: List[Tuple[int, ...]] = []
+        for pos, op in enumerate(order):
+            for t in op.inputs:
+                consumer_pos.setdefault(t.uid, []).append(pos)
+                last_use[t.uid] = pos
+            ins.append(tuple(t.uid for t in op.inputs))
+            for t in op.outputs:
+                producer_pos[t.uid] = pos
+            sig_ids.append(_SIGNATURE_IDS((
+                op.signature(),
+                tuple(t.bytes for t in op.inputs),
+                tuple(t.bytes for t in op.outputs),
+            )))
+        self.sig_ids = sig_ids
+        self.ins = ins
+        self.outs = [
+            tuple((t.uid, last_use.get(t.uid, -1)) for t in op.outputs)
+            for op in order
+        ]
+        self.last_use = last_use
+        self.producer_pos = producer_pos
+        self.consumer_pos = {
+            uid: tuple(positions) for uid, positions in consumer_pos.items()
+        }
+        self._start = -1
 
-    Covers everything plan construction reads: per-operator structure
-    (:meth:`~repro.ir.operators.Operator.signature`), tensor *aliasing*
-    within the window (two operators sharing one constant is cheaper
-    than two distinct constants — signatures alone cannot see this), the
-    producer position of each internal input, tensor kinds and byte
-    sizes, and each output's escape fate (consumed outside the window
-    or a graph result).  Two windows with equal keys — in the same
-    graph or different ones — yield byte-identical plan skeletons.
+    def window_id(self, start: int, size: int) -> int:
+        """The interned structural id of ``order[start:start + size]``.
 
-    ``uids`` lets a caller that already holds ``tuple(op.uid for op in
-    ops)`` (the scheduler's identity-cache key) skip rebuilding it.
-    """
-    rows, cache = _graph_tables(graph)
-    if uids is None:
-        uids = tuple(op.uid for op in ops)
-    key = cache.get(uids)
-    if key is not None:
-        return key
-    index = {uid: i for i, uid in enumerate(uids)}
-    local: Dict[int, int] = {}
-    parts = []
-    for uid in uids:
-        sig, row_ins, row_outs = rows[uid]
-        ins = []
-        for t_uid, prod_uid, kind, nbytes in row_ins:
-            lid = local.setdefault(t_uid, len(local))
-            prod_pos = (
-                index.get(prod_uid, -1) if prod_uid is not None else -1
-            )
-            ins.append((lid, prod_pos, kind, nbytes))
-        outs = []
-        for t_uid, cons_uids, kind, nbytes in row_outs:
-            lid = local.setdefault(t_uid, len(local))
-            internal = tuple(sorted(
-                index[c] for c in cons_uids if c in index
-            ))
-            escapes = not cons_uids or len(internal) != len(cons_uids)
-            outs.append((lid, escapes, internal, kind, nbytes))
-        parts.append((sig, tuple(ins), tuple(outs)))
-    key = tuple(parts)
-    cache[uids] = key
-    return key
+        Windows are grown one operator at a time from ``start``, the
+        way the DP frontier requests them (sizes 1, 2, ...), so each
+        operator's token is built once per frontier.  The token holds
+        the operator's signature id and, per input and output tensor,
+        its window-local alias number (order of first appearance).  An
+        in-window producer needs no entry of its own: the alias first
+        appears among that producer's outputs.  The growing prefix is
+        interned as ``(parent prefix id, token)``.  Escape
+        fate is not a prefix property — growing the window can make an
+        earlier output internal — so the window id interns the prefix id
+        together with an escape bitmask over the window's outputs (bit
+        ``k`` for the ``k``-th output; it clears once the window reaches
+        that output's last consumer).
+        """
+        if start != self._start:
+            self._start = start
+            self._local: Dict[int, int] = {}
+            self._prefix = -1
+            self._mask = 0
+            self._dying: Dict[int, int] = {}
+            self._bits = 0
+            self._ids: List[int] = []
+        ids = self._ids
+        local = self._local
+        dying = self._dying
+        while len(ids) < size:
+            pos = start + len(ids)
+            token = [self._prefix, self.sig_ids[pos]]
+            for uid in self.ins[pos]:
+                token.append(local.setdefault(uid, len(local)))
+            mask = self._mask & ~dying.pop(pos, 0)
+            for uid, last in self.outs[pos]:
+                token.append(local.setdefault(uid, len(local)))
+                bit = 1 << self._bits
+                self._bits += 1
+                mask |= bit
+                if last >= 0:
+                    dying[last] = dying.get(last, 0) | bit
+            self._mask = mask
+            self._prefix = _PREFIX_IDS(tuple(token))
+            ids.append(_WINDOW_IDS((self._prefix, mask)))
+        return ids[size - 1]
 
 
 # ---------------------------------------------------------------------
@@ -434,7 +496,7 @@ class PlanMemo:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._skeletons: Dict[Tuple[Any, ...], PlanSkeleton] = {}
+        self._skeletons: Dict[Tuple[int, int, int, int], PlanSkeleton] = {}
         self.stats: Dict[str, int] = {
             "memo_hit": 0, "memo_miss": 0, "disk_hit": 0,
         }
@@ -453,21 +515,18 @@ class PlanMemo:
 
     def seed(
         self,
-        graph: OperatorGraph,
+        key: Tuple[int, int, int, int],
         ops: Sequence[Operator],
-        hw: HardwareConfig,
-        n_split: Optional[Tuple[int, int]],
         doc: Any,
     ) -> None:
         """Enter a schedule document's skeleton ``doc`` (as written by
-        :func:`skeleton_to_doc`) for the window ``ops``, unless the memo
-        already holds that structure.
+        :func:`skeleton_to_doc`) under the memo ``key`` of the window
+        ``ops``, unless the memo already holds that structure.
 
         Raises:
             InvariantViolation: when ``doc`` is malformed or a reference
                 falls outside the window (callers re-search).
         """
-        key = (_memo_hw(hw), n_split, window_key(graph, ops))
         with self._lock:
             if key in self._skeletons:
                 return
@@ -487,24 +546,21 @@ class PlanMemo:
 
     def lookup(
         self,
-        graph: OperatorGraph,
-        ops: Sequence[Operator],
-        hw: HardwareConfig,
-        n_split: Optional[Tuple[int, int]] = None,
-        uids: Optional[Tuple[int, ...]] = None,
+        key: Tuple[int, int, int, int],
+        build: Callable[[], SpatialGroupPlan],
     ) -> Tuple[PlanSkeleton, Optional[SpatialGroupPlan]]:
-        """The skeleton for ``ops`` plus the live plan a miss built.
+        """The skeleton stored under ``key`` plus the live plan a miss
+        built.
 
         Hits return ``(skeleton, None)`` without instantiating a live
         plan, which is what lets the scheduler's search price windows
-        straight off skeleton integers; a miss constructs
-        the plan, stores its skeleton, and returns both so the caller
+        straight off skeleton integers; a miss constructs the plan with
+        ``build``, stores its skeleton, and returns both so the caller
         never pays construction twice.  A fresh construction runs under
         a ``sched.plan`` span so cold traces show exactly where
         structural planning time goes; hits are span-free (they are
         dict lookups).
         """
-        key = (_memo_hw(hw), n_split, window_key(graph, ops, uids))
         # One lock round trip covers both the lookup and the counter —
         # this is the hot path of every priced window.
         with self._lock:
@@ -513,8 +569,9 @@ class PlanMemo:
                 self.stats["memo_hit"] += 1
         if skeleton is not None:
             return skeleton, None
-        with _span("sched.plan", ops=len(ops)):
-            plan = SpatialGroupPlan(graph, ops, hw, n_split)
+        with _span("sched.plan") as sp:
+            plan = build()
+            sp.set("ops", len(plan.ops))
         skeleton = skeleton_of(plan)
         with self._lock:
             self._skeletons[key] = skeleton

@@ -33,7 +33,8 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
 )
 
 if TYPE_CHECKING:  # CKKSParams is annotation-only here (no import cycle).
@@ -63,9 +64,12 @@ from repro.sched.dataflow import (
 from repro.sched.plan_memo import (
     MEMO as _PLAN_MEMO,
     PlanSkeleton,
+    WindowTables,
     instantiate as _instantiate,
+    memo_context,
     memo_enabled,
 )
+from repro.sched.tiling import assign_loop_nests
 
 #: Fusion depth of the greedy fallback scheduler (MAD-style windows).
 GREEDY_FALLBACK_WINDOW = 4
@@ -259,13 +263,15 @@ class _WindowView:
     """
 
     __slots__ = (
-        "ops", "skeleton", "plan", "nests", "feasible", "fits",
+        "start", "ops", "skeleton", "plan", "nests", "feasible", "fits",
         "compute_cycles", "sram_bytes", "noc_bytes", "transpose_bytes",
         "dram_read_bytes", "dram_write_bytes", "buffer_bytes",
         "constant_items", "external_items", "out_items", "consumed",
         "floor",
     )
 
+    #: Topological position of the window's first operator.
+    start: int
     ops: Tuple[Operator, ...]
     skeleton: Optional[PlanSkeleton]
     plan: Optional[SpatialGroupPlan]
@@ -296,12 +302,14 @@ class _WindowView:
     @classmethod
     def from_skeleton(
         cls,
+        start: int,
         skeleton: PlanSkeleton,
         ops: Tuple[Operator, ...],
         hw: HardwareConfig,
         pricing: GroupPricing,
     ) -> "_WindowView":
         view = cls()
+        view.start = start
         view.ops = ops
         view.skeleton = skeleton
         view.plan = None
@@ -334,9 +342,10 @@ class _WindowView:
 
     @classmethod
     def from_plan(
-        cls, plan: SpatialGroupPlan, pricing: GroupPricing
+        cls, start: int, plan: SpatialGroupPlan, pricing: GroupPricing
     ) -> "_WindowView":
         view = cls()
+        view.start = start
         view.ops = plan.ops
         view.skeleton = None
         view.plan = plan
@@ -410,6 +419,10 @@ class Scheduler:
     cost queries.
     """
 
+    #: Cap on in-window producer/consumer match depths (``None`` for
+    #: none); the MAD baseline streams at limb granularity only.
+    match_depth: Optional[int] = None
+
     @staticmethod
     def _lowered(
         graph: OperatorGraph,
@@ -451,16 +464,20 @@ class Scheduler:
             self.config.validate_for_hardware(hw)
         self.n_split = n_split
         self.checkpoint_path = checkpoint_path
-        self._view_cache: Dict[Tuple, _WindowView] = {}
-        #: Sampled once — the memo gate sits on the hottest path.
-        self._memo_enabled = memo_enabled()
+        #: Window views of the current order, keyed by (start, size).
+        self._view_cache: Dict[Tuple[int, int], _WindowView] = {}
+        #: Structural plans come from the shared memo unless it is off
+        #: or a subclass builds its own (test doubles overriding
+        #: ``_plan_for``), whose plans must not enter the memo.
+        self._use_memo = (
+            memo_enabled() and type(self)._plan_for is Scheduler._plan_for
+        )
+        self._memo_context = memo_context(hw, n_split, self.match_depth)
         self._pricing = GroupPricing.for_config(hw)
-        #: Per-(producer view, consumer view, tensor) streamability
-        #: verdicts — a pure function of objects this scheduler holds
-        #: alive, recomputed otherwise on every DP transition.
-        self._stream_cache: Dict[
-            Tuple[_WindowView, _WindowView, int], bool
-        ] = {}
+        #: ``matched_prefix`` of (producer nest, consumer nest) pairs,
+        #: keyed by object identity — every nest is held alive by a view
+        #: in ``_view_cache`` for this scheduler's lifetime.
+        self._prefix_cache: Dict[Tuple[int, int], int] = {}
         self.stats: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -468,50 +485,52 @@ class Scheduler:
     def _plan_for(self, window: Tuple[Operator, ...]) -> SpatialGroupPlan:
         """A freshly constructed live plan for one window.
 
-        Runs with the structural memo off, and is the hook subclasses
-        override to build their own plans (the MAD baseline's depth-1
-        plans, test doubles); :meth:`_view_for` caches the result, so it
-        runs once per window.
+        The structural memo calls it on a miss; it also runs directly
+        with the memo off.  Test doubles override it to build their own
+        plans, which routes their windows around the memo.
         """
-        return SpatialGroupPlan(self.graph, window, self.hw, self.n_split)
+        return SpatialGroupPlan(
+            self.graph, window, self.hw, self.n_split,
+            assign_loop_nests(
+                self.graph, window, self.n_split, self.match_depth
+            ),
+        )
 
-    def _view_for(self, window: Tuple[Operator, ...]) -> _WindowView:
-        """Pricing view of a window, cached per window identity.
+    def _memo_key(self, start: int, size: int) -> Tuple[int, int, int, int]:
+        """Structural plan-memo key of ``order[start:start + size]``."""
+        return self._memo_context + (self._tables.window_id(start, size),)
+
+    def _view_for(self, start: int, size: int) -> _WindowView:
+        """Pricing view of ``order[start:start + size]``, cached.
 
         With the structural memo on (:data:`repro.sched.plan_memo.MEMO`)
         every window whose shape was seen before — the same KeySwitch
         ladder or BSGS diamond recurring within a graph, across NTT-split
         candidates, and across the graphs of a sweep — yields a view
         straight from the stored skeleton, and no live plan exists until
-        the window lands on the winning cover.  Subclasses that override
-        ``_plan_for`` (the MAD baseline's depth-1 plans, test doubles)
-        are detected and routed through their override, wrapped in a
-        view, so the search never bypasses custom plan construction —
-        and MAD skeletons never poison the shared memo.
+        the window lands on the winning cover.
         """
-        key = tuple(op.uid for op in window)
+        key = (start, size)
         view = self._view_cache.get(key)
         if view is not None:
             return view
-        if (
-            self._memo_enabled
-            and type(self)._plan_for is Scheduler._plan_for
-        ):
+        window = tuple(self._order[start: start + size])
+        if self._use_memo:
             skeleton, plan = _PLAN_MEMO.lookup(
-                self.graph, window, self.hw, self.n_split, uids=key,
+                self._memo_key(start, size), lambda: self._plan_for(window),
             )
-            if plan is not None:
+            if plan is None:
+                view = _WindowView.from_skeleton(
+                    start, skeleton, window, self.hw, self._pricing
+                )
+            else:
                 # Memo miss: the freshly constructed plan is already
                 # live, so the view keeps it instead of re-instantiating
                 # at materialization time.
-                view = _WindowView.from_plan(plan, self._pricing)
-            else:
-                view = _WindowView.from_skeleton(
-                    skeleton, window, self.hw, self._pricing
-                )
+                view = _WindowView.from_plan(start, plan, self._pricing)
         else:
             view = _WindowView.from_plan(
-                self._plan_for(window), self._pricing
+                start, self._plan_for(window), self._pricing
             )
         self._view_cache[key] = view
         return view
@@ -519,32 +538,33 @@ class Scheduler:
     # ------------------------------------------------------------------
 
     def _search_fingerprint(self, order: Sequence[Operator]) -> str:
-        """Structural identity of this search (checkpoint validity)."""
+        """Structural identity of this search (checkpoint validity).
+
+        Covers the whole hardware config: pricing reads its clock and
+        bandwidths, so a same-named variant must not resume a foreign
+        checkpoint.
+        """
         cfg = self.config
         return search_fingerprint(
             self.graph.subgraph_signature(tuple(order)),
-            (self.hw.name, self.hw.num_pes, self.hw.lanes_per_pe,
-             self.hw.sram_capacity_mb, self.hw.word_bits),
+            self.hw,
             (cfg.max_group_size, cfg.keep_fraction,
              cfg.constant_residency_fraction, cfg.min_ntt_tile,
              cfg.constant_share, cfg.chained_io, cfg.temporal_streaming,
              cfg.stream_window),
             self.n_split,
+            self.match_depth,
         )
 
     def _prepare(self, order: Sequence[Operator]) -> None:
-        """Per-search constants: the SRAM budgets, and liveness — the
-        last topological position consuming each tensor, used to evict
-        dead intermediates from the resident pool."""
+        """Per-search constants: the SRAM budgets and the order's
+        position tables (:class:`~repro.sched.plan_memo.WindowTables`:
+        window ids, tensor liveness, producer/consumer positions)."""
         sram = self.hw.sram_capacity_bytes
         self._keep_budget = int(sram * self.config.keep_fraction)
         self._const_budget = int(sram * self.config.constant_residency_fraction)
-        pos = {op.uid: idx for idx, op in enumerate(order)}
-        last_use: Dict[int, int] = {}
-        for op in order:
-            for t in op.inputs:
-                last_use[t.uid] = max(last_use.get(t.uid, -1), pos[op.uid])
-        self._last_use = last_use
+        self._order = order
+        self._tables = WindowTables(order)
 
     def _initial_state(self) -> _DpState:
         """The DP origin: segment inputs arrive on-chip if chained."""
@@ -623,7 +643,7 @@ class Scheduler:
         for start, size in windows:
             if start != expected or size < 1 or start + size > len(order):
                 raise ValueError("malformed checkpoint cover")
-            view = self._view_for(tuple(order[start: start + size]))
+            view = self._view_for(start, size)
             if not view.feasible or not view.fits:
                 raise ValueError("checkpoint cover replays infeasible window")
             state = self._transition(state, view, start)
@@ -746,7 +766,7 @@ class Scheduler:
                 if meter.exceeded:
                     interrupted_at = (i, size)
                     break
-                view = self._view_for(tuple(order[i:j]))
+                view = self._view_for(i, size)
                 if not view.feasible or not view.fits:
                     # Infeasible at this size does not rule out larger
                     # windows — feasibility is a property of the whole
@@ -806,7 +826,11 @@ class Scheduler:
         self._settle(final, steps)
         return self._finish(Schedule(steps=steps), t0)
 
-    def replay(self, window_sizes: Sequence[int]) -> Schedule:
+    def replay(
+        self,
+        window_sizes: Sequence[int],
+        skeletons: Sequence[Any] = (),
+    ) -> Schedule:
         """Rebuild a schedule from its window cover, without searching.
 
         A schedule this class produces is fully determined by the sizes
@@ -817,6 +841,11 @@ class Scheduler:
         processes — the cover is tiny and portable where live
         :class:`~repro.sched.dataflow.SpatialGroupPlan` objects are not.
 
+        ``skeletons`` (skeleton documents of the leading windows, as a
+        schedule document carries them) are seeded into the structural
+        plan memo first, so the replay instantiates those plans instead
+        of constructing them.
+
         The DP search counters (``sched.searches`` etc.) are *not*
         touched — a replay is a cache hit, not a search — and the static
         verification gate is skipped (the simulator re-verifies steps
@@ -824,9 +853,10 @@ class Scheduler:
 
         Raises:
             InvariantViolation: when the cover does not tile the
-                topological order or replays an infeasible window (a
-                stale or foreign cover — callers treat this as a cache
-                miss and fall back to a fresh search).
+                topological order, a skeleton does not fit its window,
+                or the cover replays an infeasible window (a stale or
+                foreign cover — callers treat this as a cache miss and
+                fall back to a fresh search).
         """
         order = self.graph.operators_topological()
         n = len(order)
@@ -842,6 +872,10 @@ class Scheduler:
         for size in sizes:
             windows.append((start, size))
             start += size
+        for (start, size), doc in zip(windows, skeletons):
+            _PLAN_MEMO.seed(
+                self._memo_key(start, size), order[start: start + size], doc
+            )
         try:
             final = self._replay_cover(windows, order, self._initial_state())
         except ValueError as exc:
@@ -977,7 +1011,7 @@ class Scheduler:
         while i < n:
             placed = False
             for size in range(min(cap, n - i), 0, -1):
-                view = self._view_for(tuple(order[i: i + size]))
+                view = self._view_for(i, size)
                 if not view.feasible or not view.fits:
                     continue
                 state = self._transition(state, view, i)
@@ -985,7 +1019,7 @@ class Scheduler:
                 placed = True
                 break
             if not placed:
-                single = self._view_for((order[i],))
+                single = self._view_for(i, 1)
                 raise InfeasibleScheduleError(
                     "no feasible cover: operator cannot be placed even "
                     "as a singleton group",
@@ -1019,7 +1053,7 @@ class Scheduler:
         :class:`GroupPricing`, and fills the resident-constant pool.
         """
         keep_budget = self._keep_budget
-        last_use = self._last_use
+        last_use = self._tables.last_use
         end_pos = start + len(view.ops)
         consumed = view.consumed
         window = max(self.config.stream_window, 1)
@@ -1135,37 +1169,26 @@ class Scheduler:
         """Can a deferred tensor stream from the previous group into this
         one (matched top loops across the boundary, Section V-A)?
 
-        Pure in its arguments, so verdicts are cached per (producer,
-        consumer, tensor) — the same pair is re-queried from many DP
-        states.
+        Reads the tensor's producer and consumer positions from the
+        order's tables; the loop-nest comparison is cached per nest
+        pair, since the same nests meet across many DP states.
         """
         if not self.config.temporal_streaming:
             return False
-        key = (producer, consumer, uid)
-        hit = self._stream_cache.get(key)
-        if hit is not None:
-            return hit
-        verdict = self._streamable_uncached(uid, producer, consumer)
-        self._stream_cache[key] = verdict
-        return verdict
-
-    def _streamable_uncached(
-        self,
-        uid: int,
-        producer: _WindowView,
-        consumer: _WindowView,
-    ) -> bool:
-        prod_pos = None
-        for pos, op in enumerate(producer.ops):
-            if any(t.uid == uid for t in op.outputs):
-                prod_pos = pos
-                break
-        if prod_pos is None:
-            return False
-        prod_nest = producer.nests[prod_pos]
-        for pos, op in enumerate(consumer.ops):
-            if any(t.uid == uid for t in op.inputs):
-                if matched_prefix(prod_nest, consumer.nests[pos]) > 0:
+        tables = self._tables
+        prod_nest = producer.nests[tables.producer_pos[uid] - producer.start]
+        lo = consumer.start
+        hi = lo + len(consumer.nests)
+        cache = self._prefix_cache
+        for pos in tables.consumer_pos[uid]:
+            if lo <= pos < hi:
+                cons_nest = consumer.nests[pos - lo]
+                key = (id(prod_nest), id(cons_nest))
+                depth = cache.get(key)
+                if depth is None:
+                    depth = matched_prefix(prod_nest, cons_nest)
+                    cache[key] = depth
+                if depth > 0:
                     return True
         return False
 

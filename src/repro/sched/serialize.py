@@ -12,9 +12,8 @@ same steps by replaying it through
 :meth:`~repro.sched.scheduler.Scheduler.replay` (no DP search).
 
 Each step of a non-MAD schedule also carries its plan skeleton
-(:mod:`repro.sched.plan_memo`), which :func:`schedule_from_doc` seeds
-into the plan memo so the replay instantiates plans instead of
-constructing them.
+(:mod:`repro.sched.plan_memo`), which the replay seeds into the plan
+memo so it instantiates plans instead of constructing them.
 
 Per-step seconds/metrics are stored alongside the cover for inspection
 and for the exact-equality round-trip check, but the replay recomputes
@@ -32,12 +31,7 @@ from repro.hw.config import HardwareConfig
 from repro.ir.graph import OperatorGraph
 from repro.resilience.errors import InvariantViolation
 from repro.sched.dataflow import Schedule
-from repro.sched.plan_memo import (
-    MEMO,
-    METRIC_FIELDS,
-    skeleton_of,
-    skeleton_to_doc,
-)
+from repro.sched.plan_memo import METRIC_FIELDS, skeleton_of, skeleton_to_doc
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 
 __all__ = [
@@ -62,7 +56,7 @@ def schedule_to_doc(
     order contiguously (everything :class:`~repro.sched.scheduler.
     Scheduler` and the MAD baseline produce; *not* the concatenated
     output of ``schedule_partitioned``).  MAD schedules carry no
-    skeletons: their depth-1 plans must not enter the shared memo.
+    skeletons; their replay builds its plans through the memo.
     """
     steps = []
     for step in schedule.steps:
@@ -117,6 +111,7 @@ def schedule_from_doc(
     dataflow = dataflow if dataflow is not None else doc.get("dataflow", "crophe")
     if n_split is None and doc.get("n_split"):
         n_split = tuple(doc["n_split"])
+    skeletons = []
     if dataflow == "mad":
         # Imported lazily: repro.baselines depends on this package.
         from repro.baselines.mad import MadScheduler
@@ -124,25 +119,15 @@ def schedule_from_doc(
         scheduler = MadScheduler(graph, hw, config)
     else:
         scheduler = Scheduler(graph, hw, config, n_split=n_split)
-        _seed_plan_memo(scheduler, doc)
-    schedule = scheduler.replay(doc["window_sizes"])
+        skeletons = [
+            step.get("skeleton") if isinstance(step, dict) else None
+            for step in doc.get("steps") or ()
+        ]
+    schedule = scheduler.replay(doc["window_sizes"], skeletons)
     schedule.repeat = int(doc.get("repeat", 1))
     schedule.degraded = bool(doc.get("degraded", False))
     schedule.degraded_reason = str(doc.get("degraded_reason", ""))
     return schedule
-
-
-def _seed_plan_memo(scheduler: Scheduler, doc: Dict[str, Any]) -> None:
-    """Enter the document's per-step skeletons into the plan memo."""
-    order = scheduler.graph.operators_topological()
-    start = 0
-    for size, step in zip(doc["window_sizes"], doc.get("steps") or ()):
-        MEMO.seed(
-            scheduler.graph, tuple(order[start: start + size]),
-            scheduler.hw, scheduler.n_split,
-            step.get("skeleton") if isinstance(step, dict) else None,
-        )
-        start += size
 
 
 def eval_result_to_doc(result: Any) -> Dict[str, Any]:

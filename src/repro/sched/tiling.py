@@ -46,11 +46,14 @@ def assign_loop_nests(
     graph: OperatorGraph,
     ops: Sequence[Operator],
     n_split: Optional[Tuple[int, int]] = None,
+    max_match: Optional[int] = None,
 ) -> NestAssignment:
     """Greedy nest assignment maximizing matched prefixes along edges.
 
     ``n_split`` offers the streaming operators tiled-N nest variants so
-    they can match decomposed NTT phases (Section V-B).
+    they can match decomposed NTT phases (Section V-B).  ``max_match``
+    caps the recorded edge match depths without changing the nest
+    choices (the MAD baseline streams at limb granularity only).
     """
     uids = {op.uid for op in ops}
     nests: Dict[int, LoopNest] = {}
@@ -71,9 +74,10 @@ def assign_loop_nests(
                 best_nest = nest
         nests[op.uid] = best_nest
         for p in producers:
-            edge_matches[(p.uid, op.uid)] = matched_prefix(
-                nests[p.uid], best_nest
-            )
+            depth = matched_prefix(nests[p.uid], best_nest)
+            if max_match is not None:
+                depth = min(depth, max_match)
+            edge_matches[(p.uid, op.uid)] = depth
     return NestAssignment(nests=nests, edge_matches=edge_matches)
 
 

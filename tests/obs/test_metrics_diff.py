@@ -1,7 +1,10 @@
 """Metrics registry semantics and snapshot-diff regression verdicts."""
 
+import gc
+
 import pytest
 
+from repro.obs.bench import GcLedger
 from repro.obs.diffing import diff_documents, diff_snapshots
 from repro.obs.metrics import MetricsRegistry, is_time_metric
 
@@ -55,6 +58,27 @@ def _snap(**values):
         name: {"type": "counter", "value": value}
         for name, value in values.items()
     }
+
+
+class TestGcLedger:
+    def test_counts_collections_and_pause(self, registry):
+        """Every collection while attached is counted and timed; the
+        ledger detaches on exit."""
+        with GcLedger() as ledger:
+            gc.collect()
+            gc.collect()
+        assert ledger not in gc.callbacks
+        gc.collect()
+        assert ledger.collections == 2
+        assert ledger.pause_seconds > 0
+        ledger.record(registry)
+        snap = registry.snapshot()
+        assert snap["gc.collections"] == {"type": "counter", "value": 2}
+        assert snap["gc.pause_seconds"]["value"] == ledger.pause_seconds
+
+    def test_pause_seconds_are_report_only(self):
+        assert is_time_metric("gc.pause_seconds")
+        assert not is_time_metric("gc.collections")
 
 
 class TestDiffVerdicts:

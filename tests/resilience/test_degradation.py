@@ -1,5 +1,6 @@
 """Budgeted search degradation, checkpoint/resume, and infeasibility."""
 
+import dataclasses
 import math
 
 import pytest
@@ -126,6 +127,32 @@ class TestCheckpointResume:
         s.schedule()
         # A completed checkpoint resumes at the final DP position.
         assert s.stats.get("resumed_from", 0.0) > 0.0
+
+    def test_same_named_hw_variant_does_not_resume(self, tmp_path):
+        """A checkpoint from a same-named config with different DRAM
+        bandwidth and clock is foreign: pricing reads both, so resuming
+        it could land on another cover than a fresh search.  The
+        variant searches from scratch and matches a fresh search."""
+        variant = dataclasses.replace(
+            CROPHE_64,
+            dram_bandwidth_tbs=CROPHE_64.dram_bandwidth_tbs / 8,
+            frequency_ghz=CROPHE_64.frequency_ghz * 2,
+        )
+        assert variant.name == CROPHE_64.name
+        path = str(tmp_path / "search.ck.json")
+        cfg = SchedulerConfig(max_search_nodes=40, fallback_on_budget=False)
+        with pytest.raises(SearchBudgetExceeded):
+            Scheduler(
+                _hmult_graph(), CROPHE_64, cfg, checkpoint_path=path
+            ).schedule()
+        s = Scheduler(_hmult_graph(), variant, checkpoint_path=path)
+        resumed = s.schedule()
+        fresh = Scheduler(_hmult_graph(), variant).schedule()
+        assert "resumed_from" not in s.stats
+        assert resumed.total_seconds == fresh.total_seconds
+        assert [len(st.plan.ops) for st in resumed.steps] == [
+            len(st.plan.ops) for st in fresh.steps
+        ]
 
 
 class TestInfeasible:

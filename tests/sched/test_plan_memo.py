@@ -10,6 +10,7 @@ interruptions resuming at the wrong window size (double-charging the
 budget and re-exploring candidates).
 """
 
+import dataclasses
 import json
 import os
 
@@ -17,21 +18,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.mad import MadScheduler
 from repro.dse.cache import scan_entries
 from repro.experiments.common import _schedule_segment, clear_cache
 from repro.fhe.params import CKKSParams, parameter_set
 from repro.hw.config import CROPHE_36, CROPHE_64
 from repro.ir.builders import GraphBuilder
+from repro.ir.operators import OpKind
 from repro.resilience.checkpoint import SearchCheckpoint
 from repro.resilience.errors import CacheError, SearchBudgetExceeded
 from repro.sched.dataflow import SpatialGroupPlan
 from repro.sched.plan_memo import (
     MEMO,
+    WindowTables,
     instantiate,
+    memo_context,
     skeleton_from_doc,
     skeleton_of,
     skeleton_to_doc,
-    window_key,
 )
 from repro.sched.scheduler import Scheduler, SchedulerConfig
 from repro.sched.serialize import schedule_to_doc
@@ -91,36 +95,92 @@ def _schedule(graph, hw, monkeypatch, memo=True, **knobs):
 
 
 # ---------------------------------------------------------------------
-# Structural window keys
+# Structural window ids
 # ---------------------------------------------------------------------
+
+
+def reference_window_key(graph, ops):
+    """The nested-tuple structural window key the interned ids replace.
+
+    Per operator: its signature, each input as (window-local alias,
+    in-window producer position or -1, kind, bytes), and each output as
+    (alias, escapes, in-window consumer positions, kind, bytes).  Window
+    ids must partition windows exactly as these keys do.
+    """
+    index = {op.uid: i for i, op in enumerate(ops)}
+    local = {}
+    parts = []
+    for op in ops:
+        ins = []
+        for t in op.inputs:
+            producer = graph.producer_of(t)
+            ins.append((
+                local.setdefault(t.uid, len(local)),
+                index.get(producer.uid, -1) if producer is not None else -1,
+                t.kind.value, t.bytes,
+            ))
+        outs = []
+        for t in op.outputs:
+            consumers = [c.uid for c in graph.consumers_of(t)]
+            internal = tuple(sorted(index[c] for c in consumers if c in index))
+            escapes = not consumers or len(internal) != len(consumers)
+            outs.append((
+                local.setdefault(t.uid, len(local)), escapes, internal,
+                t.kind.value, t.bytes,
+            ))
+        parts.append((op.signature(), tuple(ins), tuple(outs)))
+    return tuple(parts)
+
+
+def _window_id(graph, start, size):
+    return WindowTables(graph.operators_topological()).window_id(start, size)
+
+
+def _add_chain(consumers_of_first):
+    """``a = x + y`` followed by ``consumers_of_first`` ops ``a + y``."""
+    b = GraphBuilder(ARK)
+    limbs = ARK.max_level + 1
+    ct = b.input_ciphertext("x", ARK.max_level)
+    first = b.ew(OpKind.EW_ADD, [ct.b, ct.a], limbs, "first")
+    for k in range(consumers_of_first):
+        b.ew(OpKind.EW_ADD, [first, ct.a], limbs, f"next{k}")
+    return b.graph
 
 
 class TestWindowKey:
     def test_structural_twins_share_keys_across_graphs(self):
         """Two independently built hmult graphs have disjoint uids but
-        identical window structures — every singleton key matches."""
+        identical window structures — every window id matches."""
         g1, g2 = _hmult_graph(), _hmult_graph()
         o1 = g1.operators_topological()
         o2 = g2.operators_topological()
         assert len(o1) == len(o2)
-        for a, b in zip(o1, o2):
-            assert window_key(g1, (a,)) == window_key(g2, (b,))
+        assert {op.uid for op in o1}.isdisjoint(op.uid for op in o2)
+        t1, t2 = WindowTables(o1), WindowTables(o2)
+        for start in range(len(o1)):
+            for size in range(1, min(7, len(o1) - start) + 1):
+                assert t1.window_id(start, size) == t2.window_id(start, size)
 
     def test_escape_fate_is_part_of_the_key(self):
-        """The same operator windowed alone vs with its consumer has a
-        different structure (its output escapes vs stays internal)."""
-        g = _hmult_graph()
-        order = g.operators_topological()
-        # Find a producer/consumer pair adjacent in the order.
-        for i in range(len(order) - 1):
-            prod, cons = order[i], order[i + 1]
-            if any(g.producer_of(t) is prod for t in cons.inputs):
-                pair = window_key(g, (prod, cons))
-                assert pair != (
-                    window_key(g, (prod,)) + window_key(g, (cons,))
-                )
-                return
-        pytest.skip("no adjacent producer/consumer pair in this graph")
+        """The same two operators, whose first output stays inside the
+        window in one graph and is also read after it in the other,
+        differ only in that output's escape fate — and get different
+        ids."""
+        inside, escaping = _add_chain(1), _add_chain(2)
+        w_in = tuple(inside.operators_topological()[:2])
+        w_out = tuple(escaping.operators_topological()[:2])
+
+        def strip_escapes(key):
+            return tuple(
+                (sig, ins, tuple(o[:1] + o[2:] for o in outs))
+                for sig, ins, outs in key
+            )
+
+        ref_in = reference_window_key(inside, w_in)
+        ref_out = reference_window_key(escaping, w_out)
+        assert ref_in != ref_out
+        assert strip_escapes(ref_in) == strip_escapes(ref_out)
+        assert _window_id(inside, 0, 2) != _window_id(escaping, 0, 2)
 
     def test_memoized_plan_is_bitwise_equal(self):
         """An instantiated twin carries the exact nests, allocation,
@@ -141,6 +201,69 @@ class TestWindowKey:
             direct.metrics.external_read_bytes
         )
         assert twin.execution_seconds() == direct.execution_seconds()
+
+
+class TestWindowIdPartition:
+    def test_ids_partition_windows_like_reference_keys(self):
+        """Over every window up to ``max_group_size`` of the golden
+        bootstrapping and ResNet-20 segments, searched on CROPHE-36,
+        CROPHE-64 (with and without an NTT split) and as MAD, equal memo
+        keys hold exactly the windows whose reference keys — the five
+        construction fields of the hardware, the split, the match-depth
+        clamp and :func:`reference_window_key` — are equal."""
+        from tests.sched.test_golden_schedules import _grid_graphs
+
+        searches = (
+            lambda g: Scheduler(g, CROPHE_36),
+            lambda g: Scheduler(g, CROPHE_64),
+            lambda g: Scheduler(g, CROPHE_64, n_split=(64, 64)),
+            lambda g: MadScheduler(g, CROPHE_64),
+        )
+        new_to_ref, ref_to_new = {}, {}
+        windows = 0
+        for workload in ("bootstrapping", "resnet20"):
+            for graph in _grid_graphs(workload):
+                order = graph.operators_topological()
+                for make in searches:
+                    sched = make(graph)
+                    sched._prepare(order)
+                    hw = sched.hw
+                    context = (
+                        hw.word_bits, hw.lanes_per_pe, hw.num_pes,
+                        hw.fu_mix, hw.transpose_unit_mb, sched.n_split,
+                        sched.match_depth,
+                    )
+                    for start in range(len(order)):
+                        top = min(sched.config.max_group_size,
+                                  len(order) - start)
+                        for size in range(1, top + 1):
+                            new = sched._memo_key(start, size)
+                            ref = (context, reference_window_key(
+                                graph, order[start: start + size]
+                            ))
+                            assert new_to_ref.setdefault(new, ref) == ref
+                            assert ref_to_new.setdefault(ref, new) == new
+                            windows += 1
+        assert len(new_to_ref) == len(ref_to_new)
+        # Structural twins recur: far fewer keys than windows.
+        assert len(new_to_ref) < windows // 2
+
+    def test_timing_fields_share_the_context(self):
+        """Hardware variants differing only in fields plan construction
+        never reads share one memo context; word size splits it."""
+        variant = dataclasses.replace(
+            CROPHE_64, name="variant", frequency_ghz=2.5,
+            dram_bandwidth_tbs=0.125, sram_capacity_mb=12.0,
+        )
+        assert memo_context(variant, None, None) == memo_context(
+            CROPHE_64, None, None
+        )
+        assert memo_context(CROPHE_36, None, None) != memo_context(
+            CROPHE_64, None, None
+        )
+        assert memo_context(CROPHE_64, None, 1) != memo_context(
+            CROPHE_64, None, None
+        )
 
 
 # ---------------------------------------------------------------------
